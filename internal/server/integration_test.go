@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -143,18 +144,37 @@ func readBlock(t *testing.T, ts *httptest.Server, tenant, id string, n int) []by
 	return body
 }
 
-// findSegment locates the single committed segment under a store dir.
+// findSegment locates the single stored file under a store dir and
+// returns the stream bytes inside it. The file must be exactly the
+// stream, then the block index footer, then the 12-byte trailer
+// (footer offset, "PEND"); the footer must record the stream length
+// and account for every byte up to the trailer.
 func findSegment(t *testing.T, storeDir string) []byte {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(storeDir, "shard-*", "*.seg"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("want exactly one committed segment, found %v (err=%v)", segs, err)
+	files, err := filepath.Glob(filepath.Join(storeDir, "shard-*", "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want exactly one stored file, found %v (err=%v)", files, err)
 	}
-	b, err := os.ReadFile(segs[0])
+	b, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	const trailerSize, headerSize, entrySize = 12, 28, 16
+	if len(b) < trailerSize || string(b[len(b)-4:]) != "PEND" {
+		t.Fatalf("%s: no trailer", files[0])
+	}
+	footerOff := binary.LittleEndian.Uint64(b[len(b)-trailerSize:])
+	if footerOff > uint64(len(b)-trailerSize-headerSize) {
+		t.Fatalf("%s: footer offset %d out of range", files[0], footerOff)
+	}
+	footer := b[footerOff : len(b)-trailerSize]
+	if string(footer[:4]) != "PIDX" || binary.LittleEndian.Uint64(footer[8:16]) != footerOff {
+		t.Fatalf("%s: footer at %d does not describe a %d-byte stream", files[0], footerOff, footerOff)
+	}
+	if nblocks := binary.LittleEndian.Uint64(footer[20:28]); uint64(len(footer)) != headerSize+nblocks*entrySize+4 {
+		t.Fatalf("%s: %d-byte footer for %d blocks", files[0], len(footer), nblocks)
+	}
+	return b[:footerOff]
 }
 
 func TestIntegrationGoldenServe(t *testing.T) {

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -9,15 +11,17 @@ import (
 	"repro/internal/core"
 )
 
-// Fault-injection battery: torn/short writes, bit-flipped segment
-// bytes and truncated or mutated indexes must surface as typed errors
-// (ErrCorrupt / ErrNotFound) — never a panic, and never wrong block
-// data. The mutation style mirrors the public-API corrupt_test.go
-// battery: exhaustive truncations plus per-byte bit flips.
+// Fault-injection battery: torn/short writes, bit-flipped stream
+// bytes and truncated or mutated footers and trailers must surface as
+// typed errors (ErrCorrupt / ErrNotFound) — never a panic, and never
+// wrong block data. The mutation style mirrors the public-API
+// corrupt_test.go battery: exhaustive truncations plus per-byte bit
+// flips, over every region of the stored file.
 
 // corruptFixture builds a committed stream and returns the store, the
-// on-disk paths and the expected serial decode.
-func corruptFixture(t *testing.T) (st *Store, segPath, idxPath string, cfg core.Config, want []float64) {
+// on-disk path, the stream length (where the footer starts) and the
+// expected serial decode.
+func corruptFixture(t *testing.T) (st *Store, path string, segLen int, cfg core.Config, want []float64) {
 	t.Helper()
 	cfg = testCfg()
 	data := testBlocks(cfg, 4, 11)
@@ -28,16 +32,15 @@ func corruptFixture(t *testing.T) (st *Store, segPath, idxPath string, cfg core.
 	}
 	st = openStore(t, Config{Shards: 2})
 	putStream(t, st, "qa", "victim", comp)
-	segPath, idxPath = st.paths("qa", "victim")
-	return st, segPath, idxPath, cfg, want
+	return st, st.path("qa", "victim"), len(comp), cfg, want
 }
 
-// readAllBlocks opens the pair directly and reads every block,
+// readAllBlocks opens the file directly and reads every block,
 // comparing against want. It reports whether open succeeded, and fails
 // the test on any panic (implicit) or wrong data.
-func readAllBlocks(t *testing.T, segPath, idxPath string, want []float64) (opened bool, err error) {
+func readAllBlocks(t *testing.T, path string, want []float64) (opened bool, err error) {
 	t.Helper()
-	seg, err := openSegment(segPath, idxPath)
+	seg, err := openSegment(path)
 	if err != nil {
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNotFound) {
 			t.Fatalf("open returned untyped error: %v", err)
@@ -81,43 +84,46 @@ func mutateFile(t *testing.T, path string, mutate func([]byte) []byte) (restore 
 	}
 }
 
-// Every single-bit flip anywhere in the segment must be caught: by the
-// open-time whole-segment CRC when opening fresh, and the flipped
-// block can never decode to wrong bytes.
+// mustFail asserts that the file at path, as mutated, is refused at
+// open with ErrCorrupt.
+func mustFail(t *testing.T, path string, want []float64, what string) {
+	t.Helper()
+	opened, err := readAllBlocks(t, path, want)
+	if opened {
+		t.Fatalf("%s: corrupt file opened", what)
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%s: got %v, want ErrCorrupt", what, err)
+	}
+}
+
+// Every single-bit flip anywhere in the stream bytes must be caught by
+// the open-time whole-stream CRC, and the flipped block can never
+// decode to wrong bytes.
 func TestStoreBitFlippedSegment(t *testing.T) {
-	_, segPath, idxPath, _, want := corruptFixture(t)
-	segBytes, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, path, segLen, _, want := corruptFixture(t)
 	step := 1
-	if len(segBytes) > 512 {
-		step = len(segBytes) / 512
+	if segLen > 512 {
+		step = segLen / 512
 	}
-	for pos := 0; pos < len(segBytes); pos += step {
+	for pos := 0; pos < segLen; pos += step {
 		for _, bit := range []byte{0x01, 0x80} {
 			pos, bit := pos, bit
-			restore := mutateFile(t, segPath, func(b []byte) []byte {
+			restore := mutateFile(t, path, func(b []byte) []byte {
 				b[pos] ^= bit
 				return b
 			})
-			opened, err := readAllBlocks(t, segPath, idxPath, want)
-			if opened {
-				t.Fatalf("flip @%d/%#x: open succeeded on a segment whose CRC cannot match", pos, bit)
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("flip @%d/%#x: got %v, want ErrCorrupt", pos, bit, err)
-			}
+			mustFail(t, path, want, fmt.Sprintf("stream flip @%d/%#x", pos, bit))
 			restore()
 		}
 	}
 }
 
 // A block read must re-verify the payload checksum even when the
-// segment was pristine at open time (bit rot after open).
+// file was pristine at open time (bit rot after open).
 func TestStoreBitFlipAfterOpen(t *testing.T) {
-	_, segPath, idxPath, cfg, want := corruptFixture(t)
-	seg, err := openSegment(segPath, idxPath)
+	_, path, _, cfg, want := corruptFixture(t)
+	seg, err := openSegment(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +132,7 @@ func TestStoreBitFlipAfterOpen(t *testing.T) {
 	// Flip one bit inside block 2's payload on disk, behind the open
 	// handle's back.
 	off, n := seg.blocks[2].off, seg.blocks[2].n
-	restore := mutateFile(t, segPath, func(b []byte) []byte {
+	restore := mutateFile(t, path, func(b []byte) []byte {
 		b[off+uint64(n)/2] ^= 0x40
 		return b
 	})
@@ -147,92 +153,104 @@ func TestStoreBitFlipAfterOpen(t *testing.T) {
 	}
 }
 
-// Every prefix truncation of the segment (a torn write) must fail
-// open with a typed error.
+// Every prefix truncation of the file (a torn write) must fail open
+// with a typed error: stepped through the stream bytes, byte by byte
+// through the footer and trailer.
 func TestStoreTruncatedSegment(t *testing.T) {
-	_, segPath, idxPath, _, want := corruptFixture(t)
-	segBytes, err := os.ReadFile(segPath)
+	_, path, segLen, _, want := corruptFixture(t)
+	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	step := 1
-	if len(segBytes) > 256 {
-		step = len(segBytes) / 256
+	if segLen > 256 {
+		step = segLen / 256
 	}
-	for cut := 0; cut < len(segBytes); cut += step {
+	for cut := 0; cut < len(file); cut++ {
+		if cut < segLen && cut%step != 0 {
+			continue
+		}
 		cut := cut
-		restore := mutateFile(t, segPath, func(b []byte) []byte { return b[:cut] })
-		opened, err := readAllBlocks(t, segPath, idxPath, want)
-		if opened {
-			t.Fatalf("cut @%d: truncated segment opened", cut)
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("cut @%d: got %v, want ErrCorrupt", cut, err)
-		}
+		restore := mutateFile(t, path, func(b []byte) []byte { return b[:cut] })
+		mustFail(t, path, want, fmt.Sprintf("cut @%d", cut))
 		restore()
 	}
 }
 
-// Every prefix truncation and bit flip of the index must fail open
-// with a typed error, never a panic or a bad allocation.
+// Every prefix truncation of the footer (the file keeps its trailer)
+// and every bit flip in the footer and trailer must fail open with a
+// typed error, never a panic or a bad allocation.
 func TestStoreCorruptIndex(t *testing.T) {
-	_, segPath, idxPath, _, want := corruptFixture(t)
-	idxBytes, err := os.ReadFile(idxPath)
+	_, path, segLen, _, want := corruptFixture(t)
+	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut < len(idxBytes); cut++ {
+	trailer := file[len(file)-trailerSize:]
+	for cut := segLen; cut < len(file)-trailerSize; cut++ {
 		cut := cut
-		restore := mutateFile(t, idxPath, func(b []byte) []byte { return b[:cut] })
-		if opened, err := readAllBlocks(t, segPath, idxPath, want); opened {
-			t.Fatalf("idx cut @%d: truncated index opened", cut)
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("idx cut @%d: got %v, want ErrCorrupt", cut, err)
-		}
+		restore := mutateFile(t, path, func(b []byte) []byte {
+			return append(b[:cut:cut], trailer...)
+		})
+		mustFail(t, path, want, fmt.Sprintf("footer cut @%d", cut))
 		restore()
 	}
-	for pos := 0; pos < len(idxBytes); pos++ {
+	for pos := segLen; pos < len(file); pos++ {
 		for _, bit := range []byte{0x01, 0x80} {
 			pos, bit := pos, bit
-			restore := mutateFile(t, idxPath, func(b []byte) []byte {
+			restore := mutateFile(t, path, func(b []byte) []byte {
 				b[pos] ^= bit
 				return b
 			})
-			if opened, err := readAllBlocks(t, segPath, idxPath, want); opened {
-				t.Fatalf("idx flip @%d/%#x: corrupt index opened", pos, bit)
-			} else if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("idx flip @%d/%#x: got %v, want ErrCorrupt", pos, bit, err)
-			}
+			mustFail(t, path, want, fmt.Sprintf("footer/trailer flip @%d/%#x", pos, bit))
 			restore()
 		}
 	}
 }
 
-// A missing index (crash between the commit renames) reads as
-// not-found, and Open's sweep removes the orphan segment.
+// A stored file without its footer and trailer (the bare stream, as an
+// interrupted write would leave it) is corrupt, and a missing file is
+// not found.
 func TestStoreMissingIndex(t *testing.T) {
-	st, segPath, idxPath, _, _ := corruptFixture(t)
-	if err := os.Remove(idxPath); err != nil {
+	_, path, segLen, _, want := corruptFixture(t)
+	restore := mutateFile(t, path, func(b []byte) []byte { return b[:segLen] })
+	mustFail(t, path, want, "stream without footer")
+	restore()
+	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openSegment(segPath, idxPath); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing index: got %v, want ErrNotFound", err)
+	if _, err := openSegment(path); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing file: got %v, want ErrNotFound", err)
 	}
-	_ = st
 }
 
-// An index whose internal CRC is valid but whose segment CRC or block
-// count no longer matches the segment must be rejected: swap in the
-// index of a *different* (also valid) stream.
+// A footer whose own CRC is valid but which describes a different
+// stream must be rejected: splice the footer of another valid stream
+// behind this stream, with a trailer that points at it correctly.
 func TestStoreIndexSegmentMismatch(t *testing.T) {
 	cfg := testCfg()
 	st := openStore(t, Config{Shards: 1})
-	putStream(t, st, "qa", "one", mustCompress(t, cfg, testBlocks(cfg, 4, 21)))
-	putStream(t, st, "qa", "two", mustCompress(t, cfg, testBlocks(cfg, 2, 22)))
-	segOne, _ := st.paths("qa", "one")
-	_, idxTwo := st.paths("qa", "two")
-	if _, err := openSegment(segOne, idxTwo); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("mismatched pair: got %v, want ErrCorrupt", err)
+	one := mustCompress(t, cfg, testBlocks(cfg, 4, 21))
+	putStream(t, st, "qa", "one", one)
+	for _, other := range [][]byte{
+		mustCompress(t, cfg, testBlocks(cfg, 2, 22)), // different length
+		mustCompress(t, cfg, testBlocks(cfg, 4, 23)), // same geometry, other values
+	} {
+		footer, err := buildFooter(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		footer = footer[:len(footer)-trailerSize]
+		trailer := binary.LittleEndian.AppendUint64(nil, uint64(len(one)))
+		trailer = append(trailer, trailerMagic[:]...)
+		spliced := append(append(append([]byte(nil), one...), footer...), trailer...)
+		path := st.path("qa", "one")
+		if err := os.WriteFile(path, spliced, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := openSegment(path); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("mismatched footer: got %v, want ErrCorrupt", err)
+		}
 	}
 }
 

@@ -9,18 +9,18 @@ import (
 	"repro/internal/core"
 )
 
-// FuzzStoreOpen throws arbitrary (segment, index) byte pairs at
-// openSegment. The invariants under fuzzing:
+// FuzzStoreOpen throws arbitrary stored-file bytes at openSegment. The
+// invariants under fuzzing:
 //
 //   - no panic, no runtime fault, no unbounded allocation;
-//   - a successful open only ever happens for a pair whose checksums
+//   - a successful open only ever happens for a file whose checksums
 //     genuinely match, and every block it then serves decodes without
 //     fault (errors are fine, crashes are not);
 //   - all failures are typed (ErrCorrupt or ErrNotFound).
 //
-// Seeds: a pristine committed pair plus structured mutations of it
-// (truncations, bit flips, swapped files), so the fuzzer starts deep
-// inside the parser instead of at the magic check.
+// Seeds: a pristine committed file plus structured mutations of each of
+// its regions (stream, footer, trailer), so the fuzzer starts deep
+// inside the parser instead of at the trailer check.
 func FuzzStoreOpen(f *testing.F) {
 	cfg := core.Defaults(4, 9, 1e-10)
 	data := testBlocks(cfg, 3, 99)
@@ -28,40 +28,38 @@ func FuzzStoreOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	idx, err := buildIndex(comp)
+	footer, err := buildFooter(comp)
 	if err != nil {
 		f.Fatal(err)
 	}
+	file := append(append([]byte(nil), comp...), footer...)
+	flip := func(pos int, bit byte) []byte {
+		m := append([]byte(nil), file...)
+		m[pos] ^= bit
+		return m
+	}
 
-	f.Add(comp, idx)
-	f.Add(comp[:len(comp)/2], idx)
-	f.Add(comp, idx[:len(idx)/2])
-	f.Add(idx, comp) // swapped
-	f.Add([]byte{}, []byte{})
-	mut := append([]byte(nil), comp...)
-	mut[len(mut)/3] ^= 0x10
-	f.Add(mut, idx)
-	mutIdx := append([]byte(nil), idx...)
-	mutIdx[idxHeaderSize/2] ^= 0x80
-	f.Add(comp, mutIdx)
-	// An index claiming a huge block count must be bounded-rejected.
-	big := append([]byte(nil), idx[:idxHeaderSize]...)
-	for i := 20; i < 28; i++ {
+	f.Add(file)
+	f.Add(file[:len(file)/2])
+	f.Add(file[:len(comp)]) // stream without footer
+	f.Add([]byte{})
+	f.Add(flip(len(comp)/3, 0x10))               // stream byte
+	f.Add(flip(len(comp)+idxHeaderSize/2, 0x80)) // footer header
+	f.Add(flip(len(file)-trailerSize, 0x01))     // trailer offset
+	f.Add(flip(len(file)-1, 0x01))               // trailer magic
+	// A footer claiming a huge block count must be bounded-rejected.
+	big := append([]byte(nil), file...)
+	for i := len(comp) + 20; i < len(comp)+28; i++ {
 		big[i] = 0xff
 	}
-	f.Add(comp, big)
+	f.Add(big)
 
-	f.Fuzz(func(t *testing.T, seg, idx []byte) {
-		dir := t.TempDir()
-		segPath := filepath.Join(dir, "f.seg")
-		idxPath := filepath.Join(dir, "f.idx")
-		if err := os.WriteFile(segPath, seg, 0o644); err != nil {
+	f.Fuzz(func(t *testing.T, file []byte) {
+		path := filepath.Join(t.TempDir(), "f.s")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(idxPath, idx, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := openSegment(segPath, idxPath)
+		s, err := openSegment(path)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNotFound) {
 				t.Fatalf("untyped open error: %v", err)

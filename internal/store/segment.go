@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-
 	"os"
 	"sync"
 
@@ -13,33 +12,44 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// Block index format (".idx", all little-endian):
+// Stored file format (all integers little-endian):
 //
-//	magic    [4]byte  "PIDX"
-//	version  uint8    1
-//	reserved [3]byte  0
-//	segLen   uint64   committed segment size in bytes
-//	segCRC   uint32   CRC-32 (IEEE) of the whole segment
-//	nblocks  uint64
-//	nblocks × {
-//	    off  uint64   payload offset within the segment
-//	    len  uint32   payload length (varint prefix excluded)
-//	    crc  uint32   CRC-32 (IEEE) of the payload bytes
-//	}
-//	idxCRC   uint32   CRC-32 (IEEE) of every preceding index byte
+//	stream   segLen bytes: the exact PaSTRI stream the compressor produced
+//	footer   the block index:
+//	    magic    [4]byte  "PIDX"
+//	    version  uint8    1
+//	    reserved [3]byte  0
+//	    segLen   uint64   stream length in bytes (= the footer's offset)
+//	    segCRC   uint32   CRC-32 (IEEE) of the whole stream
+//	    nblocks  uint64
+//	    nblocks × {
+//	        off  uint64   payload offset within the stream
+//	        len  uint32   payload length (varint prefix excluded)
+//	        crc  uint32   CRC-32 (IEEE) of the payload bytes
+//	    }
+//	    idxCRC   uint32   CRC-32 (IEEE) of every preceding footer byte
+//	trailer
+//	    footerOff uint64  offset of the footer
+//	    magic     [4]byte "PEND"
 //
-// The index is pure derived data — rebuildable from the segment — but
+// The index is pure derived data — rebuildable from the stream — but
 // it is what makes one-ReadAt block serving possible, and its triple
-// checksum layering (index CRC, segment CRC, per-block CRC) is what
+// checksum layering (index CRC, stream CRC, per-block CRC) is what
 // lets the store promise "typed error or correct bytes, never wrong
-// data".
+// data". The trailer carries no CRC of its own: its offset must equal
+// the checksummed segLen, and its magic marks a file whose footer was
+// written to the end.
 
-var idxMagic = [4]byte{'P', 'I', 'D', 'X'}
+var (
+	idxMagic     = [4]byte{'P', 'I', 'D', 'X'}
+	trailerMagic = [4]byte{'P', 'E', 'N', 'D'}
+)
 
 const (
 	idxVersion    = 1
 	idxHeaderSize = 4 + 1 + 3 + 8 + 4 + 8
 	idxEntrySize  = 8 + 4 + 4
+	trailerSize   = 8 + 4
 )
 
 // maxIndexBlocks bounds how many block entries an index may declare,
@@ -54,16 +64,17 @@ type blockLoc struct {
 	crc uint32
 }
 
-// buildIndex scans a committed segment and serializes its block index.
-// The segment must parse as a complete PaSTRI stream; anything else is
-// reported as ErrCorrupt (the upload was torn or the encoder lied).
-func buildIndex(seg []byte) ([]byte, error) {
+// buildFooter scans an uploaded stream and serializes the footer and
+// trailer that follow it on disk. The stream must parse as a complete
+// PaSTRI stream; anything else is reported as ErrCorrupt (the upload
+// was torn or the encoder lied).
+func buildFooter(seg []byte) ([]byte, error) {
 	br, err := core.NewBlockReader(seg)
 	if err != nil {
 		return nil, fmt.Errorf("store: segment does not parse: %v: %w", err, ErrCorrupt)
 	}
 	n := br.NumBlocks()
-	out := make([]byte, 0, idxHeaderSize+n*idxEntrySize+4)
+	out := make([]byte, 0, idxHeaderSize+n*idxEntrySize+4+trailerSize)
 	out = append(out, idxMagic[:]...)
 	out = append(out, idxVersion, 0, 0, 0)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(seg)))
@@ -79,35 +90,52 @@ func buildIndex(seg []byte) ([]byte, error) {
 		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(seg[off:off+length]))
 	}
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-	return out, nil
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(seg)))
+	return append(out, trailerMagic[:]...), nil
 }
 
-// parseIndex validates an index file and returns the segment length,
-// segment CRC and block locations.
-func parseIndex(idx []byte) (segLen uint64, segCRC uint32, blocks []blockLoc, err error) {
+// readTrailer reads the trailer of the size-byte file f and returns
+// the footer offset it records.
+func readTrailer(f *os.File, size int64) (int64, error) {
+	var t [trailerSize]byte
+	if _, err := f.ReadAt(t[:], size-trailerSize); err != nil {
+		return 0, fmt.Errorf("store: reading trailer: %v: %w", err, ErrCorrupt)
+	}
+	off := binary.LittleEndian.Uint64(t[:8])
+	if [4]byte(t[8:]) != trailerMagic || off > uint64(size-trailerSize) {
+		return 0, fmt.Errorf("store: bad trailer (magic %q, footer at %d of %d bytes): %w", t[8:], off, size, ErrCorrupt)
+	}
+	return int64(off), nil
+}
+
+// parseIndex validates the footer of a segLen-byte stream and returns
+// the stream CRC and block locations.
+func parseIndex(idx []byte, segLen uint64) (segCRC uint32, blocks []blockLoc, err error) {
 	if len(idx) < idxHeaderSize+4 {
-		return 0, 0, nil, fmt.Errorf("store: index truncated to %d bytes: %w", len(idx), ErrCorrupt)
+		return 0, nil, fmt.Errorf("store: index truncated to %d bytes: %w", len(idx), ErrCorrupt)
 	}
 	if [4]byte(idx[:4]) != idxMagic {
-		return 0, 0, nil, fmt.Errorf("store: bad index magic %q: %w", idx[:4], ErrCorrupt)
+		return 0, nil, fmt.Errorf("store: bad index magic %q: %w", idx[:4], ErrCorrupt)
 	}
 	if idx[4] != idxVersion {
-		return 0, 0, nil, fmt.Errorf("store: unsupported index version %d: %w", idx[4], ErrCorrupt)
+		return 0, nil, fmt.Errorf("store: unsupported index version %d: %w", idx[4], ErrCorrupt)
 	}
-	segLen = binary.LittleEndian.Uint64(idx[8:16])
+	if rec := binary.LittleEndian.Uint64(idx[8:16]); rec != segLen {
+		return 0, nil, fmt.Errorf("store: index records %d stream bytes, footer sits at %d: %w", rec, segLen, ErrCorrupt)
+	}
 	segCRC = binary.LittleEndian.Uint32(idx[16:20])
 	nblocks := binary.LittleEndian.Uint64(idx[20:28])
 	if nblocks > maxIndexBlocks {
-		return 0, 0, nil, fmt.Errorf("store: implausible index block count %d: %w", nblocks, ErrCorrupt)
+		return 0, nil, fmt.Errorf("store: implausible index block count %d: %w", nblocks, ErrCorrupt)
 	}
 	want := idxHeaderSize + int(nblocks)*idxEntrySize + 4
 	if len(idx) != want {
-		return 0, 0, nil, fmt.Errorf("store: index is %d bytes, %d blocks need %d: %w",
+		return 0, nil, fmt.Errorf("store: index is %d bytes, %d blocks need %d: %w",
 			len(idx), nblocks, want, ErrCorrupt)
 	}
 	body := idx[:len(idx)-4]
 	if got, rec := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(idx[len(idx)-4:]); got != rec {
-		return 0, 0, nil, fmt.Errorf("store: index checksum mismatch (got %08x, recorded %08x): %w",
+		return 0, nil, fmt.Errorf("store: index checksum mismatch (got %08x, recorded %08x): %w",
 			got, rec, ErrCorrupt)
 	}
 	blocks = make([]blockLoc, nblocks)
@@ -120,22 +148,21 @@ func parseIndex(idx []byte) (segLen uint64, segCRC uint32, blocks []blockLoc, er
 		}
 		end := blocks[b].off + uint64(blocks[b].n)
 		if end < blocks[b].off || end > segLen {
-			return 0, 0, nil, fmt.Errorf("store: block %d span [%d,%d) outside %d-byte segment: %w",
+			return 0, nil, fmt.Errorf("store: block %d span [%d,%d) outside %d-byte segment: %w",
 				b, blocks[b].off, end, segLen, ErrCorrupt)
 		}
 	}
-	return segLen, segCRC, blocks, nil
+	return segCRC, blocks, nil
 }
 
 // Segment is an open, validated stream: an os.File served by ReadAt
 // plus the decoded block index. All methods are safe for concurrent
 // use; decoders and payload buffers are pooled per segment.
 type Segment struct {
-	tenant, id string
-	f          *os.File
-	cfg        core.Config
-	size       int64
-	blocks     []blockLoc
+	f      *os.File
+	cfg    core.Config
+	size   int64
+	blocks []blockLoc
 
 	decs sync.Pool // *segDecoder
 	bufs sync.Pool // *[]byte payload scratch
@@ -148,33 +175,40 @@ type segDecoder struct {
 	r   *bitio.Reader
 }
 
-// openSegment validates the (segment, index) pair: index checksum and
-// bounds, segment size and whole-file CRC, and a parseable stream
-// header whose geometry the decoder accepts. An open segment can then
-// serve blocks with one ReadAt each.
-func openSegment(segPath, idxPath string) (*Segment, error) {
-	idxBytes, err := os.ReadFile(idxPath)
+// openSegment opens a stored file and validates it: trailer, footer
+// checksum and bounds, stream size and whole-stream CRC, and a parseable
+// stream header whose geometry the decoder accepts. An open segment can
+// then serve blocks with one ReadAt each.
+func openSegment(path string) (_ *Segment, err error) {
+	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: %s: %w", idxPath, ErrNotFound)
+			return nil, fmt.Errorf("store: %s: %w", path, ErrNotFound)
 		}
-		return nil, fmt.Errorf("store: reading index: %w", err)
+		return nil, fmt.Errorf("store: opening segment: %w", err)
 	}
-	segLen, segCRC, blocks, err := parseIndex(idxBytes)
+	defer func() {
+		if err != nil {
+			f.Close() //lint:errdrop-ok the file was only read; the open error is what matters
+		}
+	}()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: stat segment: %w", err)
+	}
+	footerOff, err := readTrailer(f, info.Size())
 	if err != nil {
 		return nil, err
 	}
-	segBytes, err := os.ReadFile(segPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: %s: %w", segPath, ErrNotFound)
-		}
+	buf := make([]byte, info.Size()-trailerSize)
+	if _, err := f.ReadAt(buf, 0); err != nil {
 		return nil, fmt.Errorf("store: reading segment: %w", err)
 	}
-	if uint64(len(segBytes)) != segLen {
-		return nil, fmt.Errorf("store: segment is %d bytes, index recorded %d: %w",
-			len(segBytes), segLen, ErrCorrupt)
+	segCRC, blocks, err := parseIndex(buf[footerOff:], uint64(footerOff))
+	if err != nil {
+		return nil, err
 	}
+	segBytes := buf[:footerOff]
 	if got := crc32.ChecksumIEEE(segBytes); got != segCRC {
 		return nil, fmt.Errorf("store: segment checksum mismatch (got %08x, recorded %08x): %w",
 			got, segCRC, ErrCorrupt)
@@ -194,23 +228,13 @@ func openSegment(segPath, idxPath string) (*Segment, error) {
 				br.NumBlocks(), len(blocks), ErrCorrupt)
 		}
 	}
-	f, err := os.Open(segPath)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening segment: %w", err)
-	}
 	return &Segment{
 		f:      f,
 		cfg:    cfg,
-		size:   int64(segLen),
+		size:   footerOff,
 		blocks: blocks,
 	}, nil
 }
-
-// Tenant returns the owning tenant.
-func (g *Segment) Tenant() string { return g.tenant }
-
-// ID returns the stream id.
-func (g *Segment) ID() string { return g.id }
 
 // Config returns the stream's compression configuration.
 func (g *Segment) Config() core.Config { return g.cfg }

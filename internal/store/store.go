@@ -1,48 +1,54 @@
 // Package store is pastrid's sharded on-disk block store. Each stored
-// stream is one *segment* — the exact PaSTRI stream bytes the
-// compression pipeline produced — paired with a *block index* that
-// records where every block payload lives, its length and its CRC, so
-// a single block can be served with one ReadAt and decoded without
-// touching the rest of the segment (the random-access property the
-// paper highlights in Sec. IV-C, taken to disk).
+// stream is one file: the exact PaSTRI stream bytes the compression
+// pipeline produced, then a footer holding the *block index* — where
+// every block payload lives, its length and its CRC — and a fixed-size
+// trailer that points at the footer (format in segment.go). A single
+// block is served with one ReadAt and decoded without touching the rest
+// of the stream (the random-access property the paper highlights in
+// Sec. IV-C, taken to disk).
 //
 // Layout under the store root:
 //
 //	shard-00/ … shard-NN/         (FNV-1a hash of "tenant/id" mod shards)
-//	    <tenant>.<id>.seg         segment: the compressed stream bytes
-//	    <tenant>.<id>.idx         block index (see index.go)
+//	    <tenant>.<id>             stream bytes + footer + trailer
+//	    <tenant>.<id>.tmp         an upload in progress; swept on Open
 //
 // Durability and integrity:
 //
-//   - Writes are atomic: segment and index are built under temp names,
-//     fsynced, and renamed into place index-first-removed/segment-last
-//     ordering on delete, segment-then-index on commit — a crash never
-//     leaves a readable-but-wrong pair, only a missing index (treated
-//     as not-found debris and cleaned on open).
-//   - The index carries a CRC of itself, a CRC of the whole segment,
-//     and a CRC per block payload. Open verifies the index and segment
-//     checksums; every block read re-verifies the payload checksum, so
-//     bit rot after open is caught before bytes are served.
+//   - Commit appends the footer to the temp file, fsyncs it, renames it
+//     into place and fsyncs the shard directory, and only then reports
+//     success. An acknowledged stream survives a crash; an unacknowledged
+//     one is either absent or complete, never partial, because the file
+//     is whole before its name appears. Delete removes the file and
+//     fsyncs the directory before it reports success.
+//   - The footer carries a CRC of itself, a CRC of the whole stream, and
+//     a CRC per block payload. Opening a stream verifies the footer and
+//     stream checksums; every block read re-verifies the payload
+//     checksum, so bit rot after open is caught before bytes are served.
 //   - All corruption paths return errors wrapping ErrCorrupt — never a
 //     panic, never silently wrong data.
 //
+// Concurrency: one mutex guards the in-memory catalog of streams and
+// the per-tenant byte accounting, and nothing else. No stat, open,
+// write, fsync, rename or remove runs while it is held, so a block read
+// that misses the cache never waits behind an upload's fsync.
+//
 // Multi-tenancy: streams are namespaced by tenant, and the store
-// enforces per-tenant byte quotas (segment + index sizes) at create,
-// during writes, and again atomically at commit.
+// enforces per-tenant byte quotas (whole file sizes) at create, during
+// writes, and at commit, which reserves the final size under the lock
+// before the rename and returns it if the commit fails.
 package store
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/telemetry/trace"
 )
 
@@ -54,9 +60,9 @@ var (
 	ErrNotFound = errors.New("store: stream not found")
 	// ErrExists reports a create for a tenant/id that is already stored.
 	ErrExists = errors.New("store: stream already exists")
-	// ErrCorrupt reports an unreadable segment or index: bad magic,
-	// checksum mismatch, truncation, or impossible geometry. Corrupt
-	// streams are never partially served.
+	// ErrCorrupt reports an unreadable stored file: bad magic, checksum
+	// mismatch, truncation, or impossible geometry. Corrupt streams are
+	// never partially served.
 	ErrCorrupt = errors.New("store: corrupt stream")
 	// ErrQuota reports a write that would push a tenant over its byte
 	// quota.
@@ -71,7 +77,7 @@ type Config struct {
 	Dir string
 	// Shards is the number of shard directories (default 8, max 4096).
 	Shards int
-	// Quotas caps each tenant's total stored bytes (segments + indexes).
+	// Quotas caps each tenant's total stored bytes (whole file sizes).
 	// Absent or non-positive entries mean unlimited.
 	Quotas map[string]int64
 }
@@ -85,17 +91,29 @@ const DefaultShards = 8
 type Store struct {
 	dir    string
 	shards int
+	fs     fileSys
 
-	mu     sync.Mutex
-	quotas map[string]int64
-	used   map[string]int64    // committed bytes per tenant
-	open   map[string]*Segment // key → open segment handle
-	closed bool
+	mu      sync.Mutex
+	quotas  map[string]int64
+	used    map[string]int64  // committed plus reserved bytes per tenant
+	streams map[string]*entry // key → catalog entry
+	closed  bool
+}
+
+// entry is one tenant/id in the catalog. A pending entry claims the
+// name from Create until the upload commits or is discarded, and a
+// committed one is taken out of service while Delete removes its file;
+// only committed entries are served.
+type entry struct {
+	committed bool
+	size      int64    // file bytes charged to the tenant
+	segLen    int64    // stream bytes before the footer
+	seg       *Segment // open handle, nil until the first Get
 }
 
 // Open opens (creating if necessary) a store rooted at cfg.Dir, scans
-// the shard directories to rebuild per-tenant usage accounting, and
-// removes leftover temp files from interrupted writes.
+// the shard directories to rebuild the catalog and per-tenant usage
+// accounting, and removes leftover temp files from interrupted writes.
 func Open(cfg Config) (*Store, error) {
 	shards := cfg.Shards
 	if shards <= 0 {
@@ -105,11 +123,12 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("store: shard count %d exceeds 4096", shards)
 	}
 	s := &Store{
-		dir:    cfg.Dir,
-		shards: shards,
-		quotas: make(map[string]int64, len(cfg.Quotas)),
-		used:   make(map[string]int64),
-		open:   make(map[string]*Segment),
+		dir:     cfg.Dir,
+		shards:  shards,
+		fs:      osFS{},
+		quotas:  make(map[string]int64, len(cfg.Quotas)),
+		used:    make(map[string]int64),
+		streams: make(map[string]*entry),
 	}
 	for t, q := range cfg.Quotas {
 		s.quotas[t] = q
@@ -125,10 +144,9 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// scan walks the shard directories rebuilding tenant usage and
-// sweeping temp debris from interrupted writes. Orphan segments (no
-// index — a crash between the two renames) are removed: they were
-// never committed.
+// scan walks the shard directories rebuilding the catalog and tenant
+// usage, and sweeps temp files left by interrupted uploads. Names that
+// are neither are not the store's and are left alone.
 func (s *Store) scan() error {
 	for i := 0; i < s.shards; i++ {
 		dir := s.shardDir(i)
@@ -136,58 +154,45 @@ func (s *Store) scan() error {
 		if err != nil {
 			return fmt.Errorf("store: scanning %s: %w", dir, err)
 		}
-		// First pass: collect names so orphan detection sees the full set.
-		names := make(map[string]bool, len(entries))
-		for _, e := range entries {
-			names[e.Name()] = true
-		}
 		for _, e := range entries {
 			name := e.Name()
-			switch {
-			case strings.HasSuffix(name, ".tmp"):
-				if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			path := filepath.Join(dir, name)
+			if strings.HasSuffix(name, tmpSuffix) {
+				if err := s.fs.Remove(path); err != nil {
 					return fmt.Errorf("store: sweeping temp file: %w", err)
 				}
-			case strings.HasSuffix(name, segSuffix):
-				base := strings.TrimSuffix(name, segSuffix)
-				if !names[base+idxSuffix] {
-					// Committed segments always have an index; this one's
-					// write was interrupted before the index rename.
-					if err := os.Remove(filepath.Join(dir, name)); err != nil {
-						return fmt.Errorf("store: sweeping orphan segment: %w", err)
-					}
-					continue
-				}
-				tenant, _, ok := splitBase(base)
-				if !ok {
-					continue
-				}
-				info, err := e.Info()
-				if err != nil {
-					return fmt.Errorf("store: stat %s: %w", name, err)
-				}
-				s.used[tenant] += info.Size()
-			case strings.HasSuffix(name, idxSuffix):
-				base := strings.TrimSuffix(name, idxSuffix)
-				tenant, _, ok := splitBase(base)
-				if !ok || !names[base+segSuffix] {
-					continue
-				}
-				info, err := e.Info()
-				if err != nil {
-					return fmt.Errorf("store: stat %s: %w", name, err)
-				}
-				s.used[tenant] += info.Size()
+				continue
 			}
+			tenant, id, ok := splitBase(name)
+			if !ok {
+				continue
+			}
+			info, err := e.Info()
+			if err != nil {
+				return fmt.Errorf("store: stat %s: %w", name, err)
+			}
+			// An unreadable trailer leaves segLen 0: the file still
+			// counts against the quota, and Get reports it as corrupt.
+			segLen, _ := streamLen(path, info.Size()) //lint:errdrop-ok see above
+			s.streams[key(tenant, id)] = &entry{committed: true, size: info.Size(), segLen: segLen}
+			s.used[tenant] += info.Size()
 		}
 	}
 	return nil
 }
 
-const (
-	segSuffix = ".seg"
-	idxSuffix = ".idx"
-)
+// streamLen returns the stream length recorded in the trailer of the
+// size-byte file at path.
+func streamLen(path string, size int64) (int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close() //lint:errdrop-ok read-only handle
+	return readTrailer(f, size)
+}
+
+const tmpSuffix = ".tmp"
 
 // ValidName reports whether s is usable as a tenant or stream id —
 // the server validates request names up front with it so syntactically
@@ -233,10 +238,9 @@ func (s *Store) shardOf(k string) int {
 	return int(h.Sum32() % uint32(s.shards))
 }
 
-// paths returns the committed segment and index paths for a stream.
-func (s *Store) paths(tenant, id string) (seg, idx string) {
-	base := filepath.Join(s.shardDir(s.shardOf(key(tenant, id))), tenant+"."+id)
-	return base + segSuffix, base + idxSuffix
+// path returns the committed file path for a stream.
+func (s *Store) path(tenant, id string) string {
+	return filepath.Join(s.shardDir(s.shardOf(key(tenant, id))), tenant+"."+id)
 }
 
 func checkNames(tenant, id string) error {
@@ -258,7 +262,8 @@ func (s *Store) quota(tenant string) int64 {
 	return q
 }
 
-// Usage returns a tenant's committed bytes.
+// Usage returns a tenant's stored bytes, counting the bytes reserved by
+// commits in flight.
 func (s *Store) Usage(tenant string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -288,7 +293,22 @@ func (s *Store) Create(tenant, id string) (*SegmentWriter, error) {
 	if err := checkNames(tenant, id); err != nil {
 		return nil, err
 	}
-	segPath, idxPath := s.paths(tenant, id)
+	e, err := s.claim(tenant, id)
+	if err != nil {
+		return nil, err
+	}
+	w := &SegmentWriter{st: s, tenant: tenant, id: id, e: e, path: s.path(tenant, id)}
+	f, err := s.fs.Create(w.path + tmpSuffix)
+	if err != nil {
+		s.discard(w)
+		return nil, fmt.Errorf("store: creating segment: %w", err)
+	}
+	w.f = f
+	return w, nil
+}
+
+// claim adds a pending catalog entry for tenant/id.
+func (s *Store) claim(tenant, id string) (*entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -297,24 +317,26 @@ func (s *Store) Create(tenant, id string) (*SegmentWriter, error) {
 	if q := s.quota(tenant); q > 0 && s.used[tenant] >= q {
 		return nil, fmt.Errorf("store: tenant %q at %d of %d bytes: %w", tenant, s.used[tenant], q, ErrQuota)
 	}
-	if _, err := os.Stat(idxPath); err == nil {
+	k := key(tenant, id)
+	if s.streams[k] != nil {
 		return nil, fmt.Errorf("store: %s/%s: %w", tenant, id, ErrExists)
 	}
-	f, err := os.OpenFile(segPath+".tmp", os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		if errors.Is(err, fs.ErrExist) {
-			return nil, fmt.Errorf("store: %s/%s is being written: %w", tenant, id, ErrExists)
-		}
-		return nil, fmt.Errorf("store: creating segment: %w", err)
+	e := &entry{}
+	s.streams[k] = e
+	return e, nil
+}
+
+// committed returns the catalog entry of a committed stream. The caller
+// holds s.mu.
+func (s *Store) committed(tenant, id string) (*entry, error) {
+	if s.closed {
+		return nil, ErrClosed
 	}
-	return &SegmentWriter{
-		st:      s,
-		tenant:  tenant,
-		id:      id,
-		f:       f,
-		segPath: segPath,
-		idxPath: idxPath,
-	}, nil
+	e := s.streams[key(tenant, id)]
+	if e == nil || !e.committed {
+		return nil, fmt.Errorf("store: %s/%s: %w", tenant, id, ErrNotFound)
+	}
+	return e, nil
 }
 
 // Get returns an open handle for a committed stream. Handles are
@@ -324,74 +346,66 @@ func (s *Store) Get(tenant, id string) (*Segment, error) {
 	if err := checkNames(tenant, id); err != nil {
 		return nil, err
 	}
-	k := key(tenant, id)
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+	e, err := s.committed(tenant, id)
+	var seg *Segment
+	if err == nil {
+		seg = e.seg
 	}
-	if seg := s.open[k]; seg != nil {
+	s.mu.Unlock()
+	if err != nil || seg != nil {
+		return seg, err
+	}
+
+	seg, err = openSegment(s.path(tenant, id))
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	if s.streams[key(tenant, id)] == e && e.committed && e.seg == nil && !s.closed {
+		e.seg = seg
 		s.mu.Unlock()
 		return seg, nil
 	}
 	s.mu.Unlock()
-
-	segPath, idxPath := s.paths(tenant, id)
-	seg, err := openSegment(segPath, idxPath)
-	if err != nil {
-		return nil, err
-	}
-	seg.tenant, seg.id = tenant, id
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		seg.close() //lint:errdrop-ok store already closed; the handle never escaped
-		return nil, ErrClosed
-	}
-	if prior := s.open[k]; prior != nil {
-		// Another goroutine won the open race; keep its handle.
-		seg.close() //lint:errdrop-ok duplicate handle from a lost open race
-		return prior, nil
-	}
-	s.open[k] = seg
-	return seg, nil
+	// Lost a race with another Get, Delete or Close: look again.
+	seg.close() //lint:errdrop-ok the handle never escaped
+	return s.Get(tenant, id)
 }
 
 // Delete removes a committed stream and releases its quota bytes. The
-// index is removed first so a crash mid-delete leaves an orphan
-// segment (swept on next Open), never an index pointing at nothing.
+// stream stops being served at once, its name stays claimed until the
+// removal is done, and Delete returns nil only after the shard
+// directory is fsynced.
 func (s *Store) Delete(tenant, id string) error {
 	if err := checkNames(tenant, id); err != nil {
 		return err
 	}
-	segPath, idxPath := s.paths(tenant, id)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	e, err := s.committed(tenant, id)
+	if err == nil {
+		e.committed = false // Get no longer touches e.seg
 	}
-	idxInfo, err := os.Stat(idxPath)
+	s.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("store: %s/%s: %w", tenant, id, ErrNotFound)
+		return err
 	}
-	segInfo, err := os.Stat(segPath)
+	if e.seg != nil {
+		e.seg.close() //lint:errdrop-ok the file is removed below regardless
+	}
+	// A failed remove leaves the file for the next Open to find again;
+	// the caller sees the error and the stream is not acknowledged gone.
+	path := s.path(tenant, id)
+	err = s.fs.Remove(path)
+	if err == nil {
+		err = s.fs.SyncDir(filepath.Dir(path))
+	}
+	s.mu.Lock()
+	delete(s.streams, key(tenant, id))
+	s.used[tenant] -= e.size
+	s.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("store: %s/%s: %w", tenant, id, ErrNotFound)
-	}
-	if seg := s.open[key(tenant, id)]; seg != nil {
-		delete(s.open, key(tenant, id))
-		seg.close() //lint:errdrop-ok the files are unlinked below regardless
-	}
-	if err := os.Remove(idxPath); err != nil {
-		return fmt.Errorf("store: removing index: %w", err)
-	}
-	if err := os.Remove(segPath); err != nil {
-		return fmt.Errorf("store: removing segment: %w", err)
-	}
-	s.used[tenant] -= idxInfo.Size() + segInfo.Size()
-	if s.used[tenant] < 0 {
-		s.used[tenant] = 0
+		return fmt.Errorf("store: deleting %s/%s: %w", tenant, id, err)
 	}
 	return nil
 }
@@ -402,7 +416,8 @@ type StreamStat struct {
 	ID     string
 	// SegmentBytes is the compressed stream size on disk.
 	SegmentBytes int64
-	// IndexBytes is the block index size on disk.
+	// IndexBytes is the size of the footer (block index and trailer)
+	// that follows the stream in its file.
 	IndexBytes int64
 }
 
@@ -416,40 +431,13 @@ func (s *Store) List(tenant string) ([]StreamStat, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	s.mu.Unlock()
 	var out []StreamStat
-	prefix := tenant + "."
-	for i := 0; i < s.shards; i++ {
-		entries, err := os.ReadDir(s.shardDir(i))
-		if err != nil {
-			return nil, fmt.Errorf("store: listing: %w", err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, idxSuffix) {
-				continue
-			}
-			base := strings.TrimSuffix(name, idxSuffix)
-			_, id, ok := splitBase(base)
-			if !ok {
-				continue
-			}
-			idxInfo, err := e.Info()
-			if err != nil {
-				continue
-			}
-			segInfo, err := os.Stat(filepath.Join(s.shardDir(i), base+segSuffix))
-			if err != nil {
-				continue
-			}
-			out = append(out, StreamStat{
-				Tenant:       tenant,
-				ID:           id,
-				SegmentBytes: segInfo.Size(),
-				IndexBytes:   idxInfo.Size(),
-			})
+	for k, e := range s.streams {
+		if id, ok := strings.CutPrefix(k, tenant+"/"); ok && e.committed {
+			out = append(out, StreamStat{Tenant: tenant, ID: id, SegmentBytes: e.segLen, IndexBytes: e.size - e.segLen})
 		}
 	}
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
@@ -464,60 +452,41 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	var firstErr error
-	for k, seg := range s.open {
-		if err := seg.close(); err != nil && firstErr == nil {
+	for _, e := range s.streams {
+		if e.seg == nil {
+			continue
+		}
+		if err := e.seg.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		delete(s.open, k)
 	}
 	return firstErr
 }
 
-// commit finalizes a segment writer's files under the store lock:
-// re-checks the quota against the final sizes, renames segment then
-// index into place, and updates accounting.
-func (s *Store) commit(w *SegmentWriter, idxBytes []byte) error {
-	segSize := w.n
-	idxSize := int64(len(idxBytes))
+// reserve charges an upload's file size to its tenant ahead of the
+// rename, so concurrent commits cannot overshoot the quota together.
+func (s *Store) reserve(w *SegmentWriter, size, segLen int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if q := s.quota(w.tenant); q > 0 && s.used[w.tenant]+segSize+idxSize > q {
+	if q := s.quota(w.tenant); q > 0 && s.used[w.tenant]+size > q {
 		return fmt.Errorf("store: tenant %q would use %d of %d bytes: %w",
-			w.tenant, s.used[w.tenant]+segSize+idxSize, q, ErrQuota)
+			w.tenant, s.used[w.tenant]+size, q, ErrQuota)
 	}
-	if err := writeFileSync(w.idxPath+".tmp", idxBytes); err != nil {
-		return fmt.Errorf("store: writing index: %w", err)
-	}
-	if err := os.Rename(w.segPath+".tmp", w.segPath); err != nil {
-		return fmt.Errorf("store: committing segment: %w", err)
-	}
-	if err := os.Rename(w.idxPath+".tmp", w.idxPath); err != nil {
-		// Roll the segment back out so no index-less segment is served.
-		os.Remove(w.segPath) //lint:errdrop-ok best-effort rollback; open sweeps orphans anyway
-		return fmt.Errorf("store: committing index: %w", err)
-	}
-	s.used[w.tenant] += segSize + idxSize
+	s.used[w.tenant] += size
+	w.e.size, w.e.segLen = size, segLen
 	return nil
 }
 
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close() //lint:errdrop-ok write already failed; the close error is secondary
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close() //lint:errdrop-ok sync already failed; the close error is secondary
-		return err
-	}
-	return f.Close()
+// discard drops a failed or abandoned upload's pending entry and
+// returns its quota reservation.
+func (s *Store) discard(w *SegmentWriter) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.streams, key(w.tenant, w.id))
+	s.used[w.tenant] -= w.e.size
 }
 
 // SegmentWriter accumulates one stream's compressed bytes. Write it,
@@ -525,16 +494,16 @@ func writeFileSync(path string, data []byte) error {
 // enforces the tenant quota incrementally so an over-quota upload
 // fails while streaming, not after.
 type SegmentWriter struct {
-	st      *Store
-	tenant  string
-	id      string
-	f       *os.File
-	segPath string
-	idxPath string
-	n       int64
-	err     error
-	done    bool
-	sp      *trace.Span // request span for Commit's child spans; may be nil
+	st     *Store
+	tenant string
+	id     string
+	e      *entry // pending until Commit publishes it
+	f      file
+	path   string // committed path; the upload is written to path+".tmp"
+	n      int64
+	err    error
+	done   bool
+	sp     *trace.Span // request span for Commit's child spans; may be nil
 }
 
 // SetTrace attaches the request span under which Commit records its
@@ -568,9 +537,11 @@ func (w *SegmentWriter) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// Commit validates the written stream, builds its block index, and
-// atomically publishes both files. On any failure the temp files are
-// removed and the stream is not visible.
+// Commit validates the written stream, appends its footer, reserves the
+// file's size against the tenant quota, and durably publishes the file:
+// fsync, rename into place, fsync the shard directory. The stream is
+// visible, and Commit returns nil, only after all three. On any failure
+// the upload is discarded and the reservation returned.
 func (w *SegmentWriter) Commit() (err error) {
 	if w.done {
 		return fmt.Errorf("store: double commit")
@@ -586,67 +557,66 @@ func (w *SegmentWriter) Commit() (err error) {
 	if w.err != nil {
 		return w.err
 	}
-	w.done = true
-	fsp := csp.StartChild("store.fsync")
-	err = w.f.Sync()
-	fsp.End()
-	if err != nil {
-		w.done = false
-		return fmt.Errorf("store: syncing segment: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		w.done = false
-		return fmt.Errorf("store: closing segment: %w", err)
-	}
-	// Re-read what landed on disk: the index must describe the durable
-	// bytes, not the bytes we think we wrote.
-	segBytes, err := os.ReadFile(w.segPath + ".tmp")
-	if err != nil {
-		w.done = false
+	// Re-read what landed in the file: the index must describe the
+	// bytes on disk, not the bytes we think we wrote.
+	seg := make([]byte, w.n)
+	if _, err := w.f.ReadAt(seg, 0); err != nil {
 		return fmt.Errorf("store: rereading segment: %w", err)
 	}
 	bsp := csp.StartChild("store.build_index")
-	idxBytes, err := buildIndex(segBytes)
+	footer, err := buildFooter(seg)
 	bsp.End()
 	if err != nil {
-		w.done = false
 		return err
 	}
-	if err := w.st.commit(w, idxBytes); err != nil {
-		w.done = false
+	if _, err := w.f.Write(footer); err != nil {
+		return fmt.Errorf("store: writing footer: %w", err)
+	}
+	if err := w.st.reserve(w, w.n+int64(len(footer)), w.n); err != nil {
 		return err
 	}
+	fsp := csp.StartChild("store.fsync")
+	err = w.persist()
+	fsp.End()
+	if err != nil {
+		return err
+	}
+	w.done = true
+	w.st.mu.Lock()
+	w.e.committed = true
+	w.st.mu.Unlock()
 	return nil
 }
 
-// Blocks parses the pending segment and returns its block count; it is
-// only meaningful after all stream bytes have been written.
-func (w *SegmentWriter) Blocks() (int, error) {
-	if w.err != nil {
-		return 0, w.err
+// persist makes the finished temp file durable under its committed
+// name: fsync, close, rename, fsync the shard directory.
+func (w *SegmentWriter) persist() error {
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("store: syncing segment: %w", err)
 	}
-	segBytes, err := os.ReadFile(w.segPath + ".tmp")
-	if err != nil {
-		return 0, fmt.Errorf("store: rereading segment: %w", err)
+	if err := w.f.Close(); err != nil {
+		return fmt.Errorf("store: closing segment: %w", err)
 	}
-	br, err := core.NewBlockReader(segBytes)
-	if err != nil {
-		return 0, fmt.Errorf("store: %v: %w", err, ErrCorrupt)
+	if err := w.st.fs.Rename(w.path+tmpSuffix, w.path); err != nil {
+		return fmt.Errorf("store: committing segment: %w", err)
 	}
-	return br.NumBlocks(), nil
+	if err := w.st.fs.SyncDir(filepath.Dir(w.path)); err != nil {
+		return fmt.Errorf("store: syncing shard directory: %w", err)
+	}
+	return nil
 }
 
 // Bytes returns the number of segment bytes written so far.
 func (w *SegmentWriter) Bytes() int64 { return w.n }
 
-// Abort discards the pending stream. Safe to call after a failed
-// Commit; idempotent.
+// Abort discards the pending stream and returns any quota it reserved.
+// Safe to call after a failed Commit; idempotent.
 func (w *SegmentWriter) Abort() {
 	if w.done {
 		return
 	}
 	w.done = true
-	w.f.Close()                   //lint:errdrop-ok the file is being discarded
-	os.Remove(w.segPath + ".tmp") //lint:errdrop-ok best effort: open sweeps leftover temps
-	os.Remove(w.idxPath + ".tmp") //lint:errdrop-ok best effort: open sweeps leftover temps
+	w.f.Close()                        //lint:errdrop-ok the file is being discarded
+	w.st.fs.Remove(w.path + tmpSuffix) //lint:errdrop-ok best effort: Open sweeps leftover temps
+	w.st.discard(w)
 }

@@ -283,7 +283,10 @@ func TestStoreQuota(t *testing.T) {
 	putStream(t, st, "tiny", "s3", comp)
 }
 
-// Usage accounting and debris sweeping must survive a reopen.
+// Usage accounting and debris sweeping must survive a reopen. Temp
+// files from interrupted uploads are swept; a file whose name is not a
+// stream name (here one in the old two-file layout) is neither counted
+// nor served.
 func TestStoreReopen(t *testing.T) {
 	cfg := testCfg()
 	comp := mustCompress(t, cfg, testBlocks(cfg, 3, 5))
@@ -293,8 +296,8 @@ func TestStoreReopen(t *testing.T) {
 	putStream(t, st, "alice", "s1", comp)
 	putStream(t, st, "bob", "s2", comp)
 	usedAlice, usedBob := st.Usage("alice"), st.Usage("bob")
-	// Leave a torn temp file and an orphan segment behind.
-	if err := os.WriteFile(filepath.Join(dir, "shard-00", "x.y.seg.tmp"), []byte("torn"), 0o644); err != nil {
+	// Leave a torn temp file and a stray old-layout segment behind.
+	if err := os.WriteFile(filepath.Join(dir, "shard-00", "x.y.tmp"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "shard-01", "ghost.s9.seg"), comp, 0o644); err != nil {
@@ -312,13 +315,20 @@ func TestStoreReopen(t *testing.T) {
 		t.Fatalf("bob usage after reopen = %d, want %d", got, usedBob)
 	}
 	if got := st2.Usage("ghost"); got != 0 {
-		t.Fatalf("orphan segment counted: %d", got)
+		t.Fatalf("stray file counted: %d", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "shard-00", "x.y.seg.tmp")); !os.IsNotExist(err) {
+	if _, err := st2.Get("ghost", "s9"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("stray file served: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shard-00", "x.y.tmp")); !os.IsNotExist(err) {
 		t.Fatal("temp debris survived reopen")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "shard-01", "ghost.s9.seg")); !os.IsNotExist(err) {
-		t.Fatal("orphan segment survived reopen")
+	list, err := st2.List("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0].SegmentBytes != int64(len(comp)) || list[0].SegmentBytes+list[0].IndexBytes != usedAlice {
+		t.Fatalf("List after reopen = %+v, want one %d-byte stream in a %d-byte file", list, len(comp), usedAlice)
 	}
 	seg, err := st2.Get("alice", "s1")
 	if err != nil {
