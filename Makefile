@@ -56,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecompress$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBlockReader$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFusedCompress$$ -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlock$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecompress$$ -fuzztime=$(FUZZTIME) ./internal/sz
 	$(GO) test -run='^$$' -fuzz=FuzzDecompress$$ -fuzztime=$(FUZZTIME) ./internal/zfp
 	$(GO) test -run='^$$' -fuzz=FuzzCFGBuild$$ -fuzztime=$(FUZZTIME) ./internal/analysis/flow
@@ -69,13 +70,14 @@ fuzz-smoke:
 # nil-collector and live-collector paths. The second block covers the
 # fused pipeline's lane kernels (ER argmax, quantize+clamp, the batched
 # bit-emission kernels), so breaking one fails CI even without a full
-# measurement run.
+# measurement run. The decode side rides along: the block decoder, whole
+# stream decompression and the batched PQ/SQ reader.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='^(BenchmarkTelemetryOverhead|BenchmarkCompressWorkers)$$' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkTelemetryOverhead|BenchmarkCompressWorkers|BenchmarkDecodeBlock|BenchmarkDecompressCollect)$$' \
 		-benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkArgMaxAbs$$' -benchtime=1x ./internal/pattern
 	$(GO) test -run='^$$' -bench='^(BenchmarkQuantize|BenchmarkQuantizeClampN)$$' -benchtime=1x ./internal/quant
-	$(GO) test -run='^$$' -bench='^(BenchmarkWriteBitsN|BenchmarkWriteSignedN|BenchmarkWriteUnaryN)$$' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkWriteBitsN|BenchmarkWriteSignedN|BenchmarkWriteUnaryN|BenchmarkReadSignedN)$$' \
 		-benchtime=1x ./internal/bitio
 
 # bench-json: measure the perf-tracked benchmarks and refresh the

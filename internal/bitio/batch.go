@@ -104,3 +104,46 @@ func (w *Writer) WriteUnaryN(ns []uint) {
 		w.WriteBits(acc, used)
 	}
 }
+
+// ReadSignedN reads len(dst) two's-complement integers of `width` bits,
+// exactly as if ReadSigned(width) were called once per element: the
+// same values, the same bits consumed and, on a short stream, the same
+// error after the same partial read. Values are cut from a Window
+// register, one arithmetic shift each. width must be in [0, 64].
+//
+//pastri:hotpath
+func (r *Reader) ReadSignedN(dst []int64, width uint) error {
+	i := 0
+	if width >= 1 && width <= 56 {
+		// width <= 56 < 57: a window short of one value means the
+		// stream is ending. The masks tell the compiler both shift
+		// counts are below 64, so no over-wide-shift guards are emitted.
+		shift, step := (64-width)&63, width&63
+		win, avail := r.Window(0)
+		used := uint(0)
+		for ; i < len(dst); i++ {
+			if avail < width {
+				win, avail = r.Window(used)
+				used = 0
+				if avail < width {
+					break
+				}
+			}
+			dst[i] = int64(win) >> shift //lint:shiftwidth-ok shift is masked to [0,63] above
+			win <<= step                 //lint:shiftwidth-ok step is masked to [0,63] above
+			avail -= width
+			used += width
+		}
+		r.Window(used)
+	}
+	// Width 0, widths beyond 56 and a stream too short for the next
+	// value go one element at a time, failing as ReadSigned does.
+	for ; i < len(dst); i++ {
+		v, err := r.ReadSigned(width)
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
+	return nil
+}

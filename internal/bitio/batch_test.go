@@ -172,3 +172,126 @@ func BenchmarkWriteUnaryN(b *testing.B) {
 		w.WriteUnaryN(lens)
 	}
 }
+
+// TestReadSignedNMatchesReadSigned: the batched reader must return the
+// per-call values, leave the reader at the same bit position and, on a
+// truncated stream, fail with the same error after the same partial
+// read — at every width and reservoir alignment.
+func TestReadSignedNMatchesReadSigned(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for width := uint(0); width <= 64; width++ {
+		for trial := 0; trial < 20; trial++ {
+			n := rng.Intn(120)
+			w := &Writer{}
+			prefix := uint(rng.Intn(64))
+			w.WriteBits(rng.Uint64(), prefix)
+			for i := 0; i < n; i++ {
+				w.WriteBits(rng.Uint64(), width)
+			}
+			buf := w.Bytes()
+			// Full stream, plus a truncation that cuts the run short.
+			for _, cut := range []int{len(buf), rng.Intn(len(buf) + 1)} {
+				ref, got := NewReader(buf[:cut]), NewReader(buf[:cut])
+				if _, err := ref.ReadBits(prefix); err != nil {
+					continue // cut inside the prefix
+				}
+				if _, err := got.ReadBits(prefix); err != nil {
+					t.Fatal(err)
+				}
+				var errRef error
+				want := make([]int64, n)
+				for i := range want {
+					v, err := ref.ReadSigned(width)
+					if err != nil {
+						errRef = err
+						break
+					}
+					want[i] = v
+				}
+				dst := make([]int64, n)
+				if err := got.ReadSignedN(dst, width); err != errRef {
+					t.Fatalf("width %d, n %d, cut %d: error %v, want %v", width, n, cut, err, errRef)
+				}
+				if errRef == nil {
+					for i := range want {
+						if dst[i] != want[i] {
+							t.Fatalf("width %d: value %d = %d, want %d", width, i, dst[i], want[i])
+						}
+					}
+				}
+				if got.BitsRead() != ref.BitsRead() {
+					t.Fatalf("width %d, n %d, cut %d: consumed %d bits, per-call consumed %d",
+						width, n, cut, got.BitsRead(), ref.BitsRead())
+				}
+			}
+		}
+	}
+}
+
+// TestWindow: decoding through Window must see the stream bit for bit,
+// report at least 57 valid bits until the stream's last bytes, and
+// leave the Reader positioned exactly where per-bit reading would.
+func TestWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		buf := make([]byte, rng.Intn(40))
+		rng.Read(buf)
+		r := NewReader(buf)
+		// Misalign the reservoir with an ordinary read first.
+		lead := uint(rng.Intn(9))
+		if lead > uint(len(buf))*8 {
+			lead = 0
+		}
+		if _, err := r.ReadBits(lead); err != nil {
+			t.Fatal(err)
+		}
+		pos := lead
+		win, avail := r.Window(0)
+		for {
+			left := uint(len(buf))*8 - pos
+			if avail > left || (avail < 57 && avail != left) {
+				t.Fatalf("trial %d at bit %d: window holds %d bits, %d remain", trial, pos, avail, left)
+			}
+			for j := uint(0); j < avail; j++ {
+				want := uint64(buf[(pos+j)/8]>>(7-(pos+j)%8)) & 1
+				if win>>(63-j)&1 != want {
+					t.Fatalf("trial %d: window bit %d of stream bit %d wrong", trial, j, pos)
+				}
+			}
+			if avail < 64 && win<<avail != 0 {
+				t.Fatalf("trial %d: bits past the valid count are not zero", trial)
+			}
+			if avail == 0 {
+				break
+			}
+			k := uint(rng.Intn(int(avail) + 1))
+			pos += k
+			win, avail = r.Window(k)
+			if r.BitsRead() != uint64(pos) {
+				t.Fatalf("trial %d: BitsRead %d, consumed %d", trial, r.BitsRead(), pos)
+			}
+		}
+		if _, err := r.ReadBit(); err != ErrUnexpectedEOF {
+			t.Fatalf("trial %d: read past the end: %v", trial, err)
+		}
+	}
+}
+
+func BenchmarkReadSignedN(b *testing.B) {
+	vals := make([]int64, 4096)
+	for i := range vals {
+		vals[i] = int64(i%512) - 256
+	}
+	w := NewWriter(1 << 16)
+	w.WriteSignedN(vals, 10)
+	buf := w.Bytes()
+	r := NewReader(nil)
+	b.SetBytes(int64(len(vals)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(buf)
+		if err := r.ReadSignedN(vals, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,8 +7,10 @@
 // The hot paths are word-at-a-time: the Writer batches bits into a
 // 64-bit accumulator flushed whole, the Reader serves from a 64-bit
 // refill register loaded eight bytes at once, and the unary codec runs
-// on bits.LeadingZeros64 instead of per-bit loops. All fast paths are
-// exercised against the bit-exact reference semantics by the fuzzers.
+// on bits.LeadingZeros64 instead of per-bit loops. Prefix-code decoders
+// that want the bits in a register of their own take them through
+// Reader.Window. All fast paths are exercised against the bit-exact
+// reference semantics by the fuzzers.
 package bitio
 
 import (
@@ -145,11 +147,10 @@ func (w *Writer) Bytes() []byte {
 
 // Reader consumes bits from a byte slice produced by Writer.
 type Reader struct {
-	buf  []byte
-	pos  int    // next byte index
-	cur  uint64 // bit reservoir: valid bits are the low `n` bits (higher bits are stale)
-	n    uint   // valid bits in cur
-	read uint64 // total bits consumed
+	buf []byte
+	pos int    // next byte index
+	cur uint64 // bit reservoir: valid bits are the low `n` bits (higher bits are stale)
+	n   uint   // valid bits in cur; bits consumed so far = 8·pos − n
 }
 
 // NewReader returns a Reader over buf. The Reader does not copy buf.
@@ -163,17 +164,19 @@ func (r *Reader) Reset(buf []byte) {
 	r.pos = 0
 	r.cur = 0
 	r.n = 0
-	r.read = 0
 }
 
-// fill tops up the reservoir. When the reservoir is empty and eight
-// bytes remain, a whole word is loaded at once; otherwise bytes are
-// added until the reservoir holds more than 56 bits or input runs out.
+// fill tops up the reservoir. When eight bytes remain, one word load
+// tops it up with as many whole bytes as fit (all eight when it is
+// empty); otherwise bytes are added one at a time. Either way the
+// reservoir ends holding more than 56 bits, or all remaining input.
 func (r *Reader) fill() {
-	if r.n == 0 && r.pos+8 <= len(r.buf) {
-		r.cur = binary.BigEndian.Uint64(r.buf[r.pos:])
-		r.pos += 8
-		r.n = 64
+	if r.pos+8 <= len(r.buf) {
+		w := binary.BigEndian.Uint64(r.buf[r.pos:])
+		k := (64 - r.n) &^ 7         // bits of whole bytes that fit
+		r.cur = r.cur<<k | w>>(64-k) //lint:shiftwidth-ok k in [0,64]; Go defines shifts by 64 as 0, which is the right value at both ends
+		r.pos += int(k >> 3)
+		r.n += k
 		return
 	}
 	for r.n <= 56 && r.pos < len(r.buf) {
@@ -192,7 +195,6 @@ func (r *Reader) ReadBit() (uint, error) {
 		}
 	}
 	r.n--
-	r.read++
 	return uint(r.cur>>r.n) & 1, nil //lint:shiftwidth-ok r.n <= 63 after the decrement (fill caps it at 64)
 }
 
@@ -210,7 +212,6 @@ func (r *Reader) ReadBits(width uint) (uint64, error) {
 	if width < 64 && width <= r.n {
 		// Fast path: serve from the reservoir.
 		r.n -= width
-		r.read += uint64(width)
 		return (r.cur >> r.n) & ((1 << width) - 1), nil //lint:shiftwidth-ok width < 64 by the branch; r.n <= 63 after subtracting width >= 1
 	}
 	var v uint64
@@ -236,7 +237,6 @@ func (r *Reader) ReadBits(width uint) (uint64, error) {
 			v = r.cur // take==64 implies r.n was 64 and remaining 64
 		}
 		remaining -= take
-		r.read += uint64(take)
 	}
 	return v, nil
 }
@@ -281,12 +281,10 @@ func (r *Reader) ReadUnary() (uint, error) {
 		if ones < r.n {
 			// The stop bit is inside the reservoir: consume run + stop.
 			r.n -= ones + 1
-			r.read += uint64(ones) + 1
 			return total + ones, nil
 		}
 		// Every valid bit is a one: consume them all and refill.
 		total += r.n
-		r.read += uint64(r.n)
 		r.n = 0
 	}
 }
@@ -317,7 +315,6 @@ func (r *Reader) ReadZeroRun(max uint) uint {
 			zeros = max - total
 		}
 		r.n -= zeros
-		r.read += uint64(zeros)
 		total += zeros
 		if r.n > 0 {
 			// Stopped on a one-bit (left unconsumed) or on quota.
@@ -327,15 +324,35 @@ func (r *Reader) ReadZeroRun(max uint) uint {
 	return total
 }
 
+// Window consumes k bits, then returns the next bits of the stream
+// left-aligned in a word and how many of them are valid. Bits past the
+// valid count read as zero. The count is at least 57 unless the stream
+// ends sooner, in which case the window holds every remaining bit; it
+// is never more than 64. k is the number of bits used from the window
+// the previous call returned: 0 on the first call, and 0 again after
+// any read through the Reader's other methods.
+//
+// This is the primitive for decoders that parse prefix codes from a
+// register: peek at the window, decode codes from a local copy, and
+// hand the number of bits used back at the next call. The Reader's
+// other methods see the stream exactly as if those bits had been read
+// one at a time.
+func (r *Reader) Window(k uint) (uint64, uint) {
+	r.n -= k
+	if r.n <= 56 {
+		r.fill()
+	}
+	return r.cur << (64 - r.n), r.n //lint:shiftwidth-ok r.n in [0,64]; n == 0 gives the empty window 0
+}
+
 // BitsRead reports the total number of bits consumed so far.
-func (r *Reader) BitsRead() uint64 { return r.read }
+func (r *Reader) BitsRead() uint64 { return uint64(r.pos)*8 - uint64(r.n) }
 
 // AlignByte discards bits up to the next byte boundary.
 func (r *Reader) AlignByte() {
-	drop := r.read % 8
+	drop := r.BitsRead() % 8
 	if drop != 0 {
 		skip := 8 - drop
 		r.n -= uint(skip)
-		r.read += skip
 	}
 }

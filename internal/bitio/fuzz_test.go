@@ -136,5 +136,26 @@ func FuzzBitioReader(f *testing.F) {
 				break // arbitrary cap; corpus buffers are tiny
 			}
 		}
+		// The batched signed reader must see the same bytes exactly as
+		// per-call reads do, including where the stream runs out.
+		if len(b) > 1<<16 {
+			return
+		}
+		n := len(b)*8/int(width) + 1
+		ref, got := NewReader(b), NewReader(b)
+		want := make([]int64, n)
+		var errRef error
+		for i := range want {
+			if want[i], errRef = ref.ReadSigned(width); errRef != nil {
+				break
+			}
+		}
+		dst := make([]int64, n)
+		if err := got.ReadSignedN(dst, width); err != errRef {
+			t.Fatalf("ReadSignedN error %v, per-call error %v", err, errRef)
+		}
+		if got.BitsRead() != ref.BitsRead() {
+			t.Fatalf("ReadSignedN consumed %d bits, per-call %d", got.BitsRead(), ref.BitsRead())
+		}
 	})
 }

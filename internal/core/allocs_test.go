@@ -56,36 +56,35 @@ func TestEncodeBlockAllocs(t *testing.T) {
 }
 
 // TestDecodeBlockAllocs: a warm BlockDecoder must decode without any
-// heap allocation.
+// heap allocation, whatever the block carries — no ECQ section
+// (Type-0), a sparse list, narrow (ECbMax 2) or wide dense codes — and
+// whichever of the six ECQ methods wrote it.
 func TestDecodeBlockAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	cfg := allocTestConfig()
-	block := allocTestData(cfg, 1)
-	enc, err := NewBlockEncoder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := bitio.NewWriter(cfg.BlockSize())
-	if err := enc.EncodeBlock(w, block); err != nil {
-		t.Fatal(err)
-	}
-	payload := w.Bytes()
-	dec, err := NewBlockDecoder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := bitio.NewReader(nil)
-	dst := make([]float64, cfg.BlockSize())
-	allocs := testing.AllocsPerRun(100, func() {
-		r.Reset(payload)
-		if err := dec.DecodeBlock(r, dst); err != nil {
+	for _, m := range encoding.Methods {
+		cfg := allocTestConfig()
+		cfg.Encoding = m
+		payloads := kindPayloads(t, cfg)
+		dec, err := NewBlockDecoder(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("DecodeBlock allocates %v times per block, want 0", allocs)
+		r := bitio.NewReader(nil)
+		dst := make([]float64, cfg.BlockSize())
+		for _, kind := range blockKinds {
+			payload := payloads[kind]
+			allocs := testing.AllocsPerRun(100, func() {
+				r.Reset(payload)
+				if err := dec.DecodeBlock(r, dst); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v %s block: DecodeBlock allocates %v times per block, want 0", m, kind, allocs)
+			}
+		}
 	}
 }
 

@@ -394,12 +394,13 @@ func (e *BlockEncoder) recordTrace(block []float64, pb, ecbMax uint, payloadBits
 // BlockDecoder decompresses blocks, reusing scratch buffers. Not safe for
 // concurrent use.
 type BlockDecoder struct {
-	cfg  Config
-	col  *telemetry.Collector // from cfg; nil ⇒ no telemetry
-	pq   []int64
-	sq   []int64
-	ecq  []int64
-	pHat []float64
+	cfg   Config
+	col   *telemetry.Collector // from cfg; nil ⇒ no telemetry
+	pq    []int64
+	sq    []int64
+	nzIdx []int32 // block positions of the nonzero ECQ, ascending
+	nzQ   []int64 // the matching nonzero quanta
+	pHat  []float64
 }
 
 // NewBlockDecoder returns a decoder for the given configuration.
@@ -419,18 +420,31 @@ func (d *BlockDecoder) reset(cfg Config) {
 	d.col = cfg.Collector
 	d.pq = growI64(d.pq, cfg.SBSize)
 	d.sq = growI64(d.sq, cfg.NumSB)
-	d.ecq = growI64(d.ecq, cfg.BlockSize())
+	d.nzIdx = growI32(d.nzIdx, cfg.BlockSize())
+	d.nzQ = growI64(d.nzQ, cfg.BlockSize())
 	d.pHat = growFloat64(d.pHat, cfg.SBSize)
 }
 
 // DecodeBlock reads one block from r into dst, which must have
 // cfg.BlockSize() elements.
 //
+// It is the decode half of the fused path. The ECQ section comes back
+// from encoding.DecodeList / DecodeSparseList as the list of nonzero
+// quanta, never as a dense slice, and reconstruction takes two passes
+// over dst: every value gets sHat·pHat[i] + 0, then each listed value
+// gets its float64(q)·2EB added. That is bit-identical to adding the
+// dequantized quantum everywhere: at a zero quantum the old addend was
+// +0, and x + 0 turns −0 into +0 and leaves every other x alone, so
+// the first pass stores exactly the old sum; at a nonzero quantum x + 0
+// changes x at most from −0 to +0, which does not change x + y for any
+// y ≠ 0, so the second pass rounds once to the old sum.
+//
 //pastri:hotpath
 func (d *BlockDecoder) DecodeBlock(r *bitio.Reader, dst []float64) error {
 	cfg := d.cfg
-	if len(dst) != cfg.BlockSize() {
-		return fmt.Errorf("core: dst has %d points, config wants %d", len(dst), cfg.BlockSize())
+	n := cfg.BlockSize()
+	if len(dst) != n {
+		return fmt.Errorf("core: dst has %d points, config wants %d", len(dst), n)
 	}
 	tDec := d.col.StageStart()
 	defer d.col.StageEnd(telemetry.StageDecode, tDec)
@@ -447,41 +461,28 @@ func (d *BlockDecoder) DecodeBlock(r *bitio.Reader, dst []float64) error {
 	if ecbMax == 0 || ecbMax > 63 {
 		return fmt.Errorf("core: corrupt block header: ECbMax=%d", ecbMax)
 	}
-
-	for i := range d.pq {
-		q, err := r.ReadSigned(pb)
-		if err != nil {
-			return err
-		}
-		d.pq[i] = q
-	}
 	sb := pb
-	for s := range d.sq {
-		q, err := r.ReadSigned(sb)
-		if err != nil {
-			return err
-		}
-		d.sq[s] = q
+	if err := r.ReadSignedN(d.pq, pb); err != nil {
+		return err
 	}
+	if err := r.ReadSignedN(d.sq, sb); err != nil {
+		return err
+	}
+	nnz := 0 // Type-0 blocks (ECbMax 1) carry no ECQ section
 	if ecbMax > 1 {
 		sparse, err := r.ReadBit()
 		if err != nil {
 			return err
 		}
-		idxBits := encoding.IndexBits(cfg.BlockSize())
-		countBits := encoding.IndexBits(cfg.BlockSize() + 1)
 		if sparse == 1 {
-			if err := encoding.DecodeSparse(r, d.ecq, ecbMax, idxBits, countBits); err != nil {
-				return err
-			}
+			idxBits := encoding.IndexBits(n)
+			countBits := encoding.IndexBits(n + 1)
+			nnz, err = encoding.DecodeSparseList(r, d.nzIdx, d.nzQ, n, ecbMax, idxBits, countBits)
 		} else {
-			if err := encoding.Decode(r, d.ecq, ecbMax, cfg.Encoding); err != nil {
-				return err
-			}
+			nnz, err = encoding.DecodeList(r, d.nzIdx, d.nzQ, n, ecbMax, cfg.Encoding)
 		}
-	} else {
-		for i := range d.ecq {
-			d.ecq[i] = 0
+		if err != nil {
+			return err
 		}
 	}
 
@@ -495,10 +496,14 @@ func (d *BlockDecoder) DecodeBlock(r *bitio.Reader, dst []float64) error {
 	}
 	for s := 0; s < cfg.NumSB; s++ {
 		sHat := quant.Dequantize(d.sq[s], sBin)
-		base := s * cfg.SBSize
-		for i := 0; i < cfg.SBSize; i++ {
-			dst[base+i] = sHat*pHat[i] + quant.Dequantize(d.ecq[base+i], ecBin)
+		out := dst[s*cfg.SBSize:][:len(pHat)] // the length lets the compiler drop the bounds check
+		for i, p := range pHat {
+			out[i] = sHat*p + 0 // + 0 canonicalizes −0 (see above)
 		}
+	}
+	q := d.nzQ[:nnz]
+	for k, idx := range d.nzIdx[:nnz] {
+		dst[idx] += quant.Dequantize(q[k], ecBin)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitio"
 	"repro/internal/encoding"
@@ -224,16 +225,15 @@ func DecompressLogged(comp []byte, workers int, col *telemetry.Collector, logger
 		return out, nil
 	}
 
+	// Workers claim blocks from a shared cursor. The first failure moves
+	// the cursor past the end, so every worker stops after the block it
+	// holds instead of decoding the rest of a stream that is already lost.
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
+		next     atomic.Int64
 	)
-	next := make(chan int, len(spans))
-	for b := range spans {
-		next <- b
-	}
-	close(next)
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func() {
@@ -241,9 +241,14 @@ func DecompressLogged(comp []byte, workers int, col *telemetry.Collector, logger
 			dec := getDecoder(cfg)
 			defer putDecoder(dec)
 			r := bitio.NewReader(nil)
-			for b := range next {
+			for {
+				b := int(next.Add(1) - 1)
+				if b >= len(spans) {
+					return
+				}
 				r.Reset(comp[spans[b].lo:spans[b].hi])
 				if err := dec.DecodeBlock(r, out[b*bs:(b+1)*bs]); err != nil {
+					next.Store(int64(len(spans)))
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = fmt.Errorf("core: block %d: %w", b, err)

@@ -44,10 +44,12 @@ func BenchmarkDecodeTree5(b *testing.B) {
 	w := bitio.NewWriter(1 << 14)
 	Encode(w, vals, ecb, Tree5)
 	buf := w.Bytes()
-	dst := make([]int64, len(vals))
+	idxs, nz := make([]int32, len(vals)), make([]int64, len(vals))
+	r := bitio.NewReader(nil)
 	b.SetBytes(int64(len(vals) * 8))
 	for i := 0; i < b.N; i++ {
-		if err := Decode(bitio.NewReader(buf), dst, ecb, Tree5); err != nil {
+		r.Reset(buf)
+		if _, err := DecodeList(r, idxs, nz, len(vals), ecb, Tree5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -183,7 +183,7 @@ func TestBatchedEncodeByteIdentical(t *testing.T) {
 					t.Fatalf("%v ecb=%d n=%d: batched encode differs from reference", m, ecb, len(vals))
 				}
 				dst := make([]int64, len(vals))
-				if err := Decode(bitio.NewReader(got.Bytes()), dst, ecb, m); err != nil {
+				if err := decodeDense(bitio.NewReader(got.Bytes()), dst, ecb, m); err != nil {
 					t.Fatalf("%v ecb=%d: decode: %v", m, ecb, err)
 				}
 				for j := range vals {

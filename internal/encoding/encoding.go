@@ -4,10 +4,12 @@
 // coder, and the sparse (index, value) representation the paper mentions
 // in Sec. IV-C.
 //
-// All coders share the same contract: they encode a slice of int64 quanta
-// given the block's maximum bin number ECb_max (the number of bits of the
-// widest value present, per Fig. 6's bin convention), and decode exactly
-// len(dst) values back. Per the paper, ECb_max is stored in the block
+// All coders share the same contract: they encode a block of int64
+// quanta given the block's maximum bin number ECb_max (the number of
+// bits of the widest value present, per Fig. 6's bin convention), and
+// decode a block of n quanta back as its nonzero list: the ascending
+// positions of the nonzero quanta and their values (DecodeList,
+// DecodeSparseList). Per the paper, ECb_max is stored in the block
 // header by the caller, so coders may rely on it.
 //
 // Tree shapes (leaf codes):
@@ -89,7 +91,7 @@ func writeZeroRun(w *bitio.Writer, k int) {
 
 // Encode writes vals using method m. ecbMax must be ≥ the bin number
 // (quant.BitsForValue) of every value; the same ecbMax must be passed to
-// Decode. Every branch batches: runs of zero-valued symbols collapse to
+// DecodeList. Every branch batches: runs of zero-valued symbols collapse to
 // word-sized zero writes and each code+payload pair that fits 64 bits is
 // a single WriteBits call, producing the same bitstream as the
 // symbol-at-a-time reference coder.
@@ -207,196 +209,6 @@ func encodeTree4Value(w *bitio.Writer, v int64) {
 	}
 }
 
-// readZeros consumes a run of zero-valued symbols (one zero bit each)
-// into dst[i:], returning the new index. The next bit in the stream, if
-// any, is a one: the start of a nonzero symbol.
-func readZeros(r *bitio.Reader, dst []int64, i int) int {
-	k := int(r.ReadZeroRun(uint(len(dst) - i)))
-	for j := 0; j < k; j++ {
-		dst[i+j] = 0
-	}
-	return i + k
-}
-
-// Decode reads len(dst) values previously written by Encode with the same
-// method and ecbMax. Runs of zero symbols are consumed word-at-a-time via
-// bitio.ReadZeroRun; the bit consumption is identical to the
-// symbol-at-a-time reference decoder.
-//
-//pastri:hotpath
-func Decode(r *bitio.Reader, dst []int64, ecbMax uint, m Method) error {
-	switch m {
-	case Fixed:
-		for i := range dst {
-			v, err := r.ReadSigned(ecbMax)
-			if err != nil {
-				return err
-			}
-			dst[i] = v
-		}
-	case Tree1:
-		for i := 0; i < len(dst); {
-			if i = readZeros(r, dst, i); i == len(dst) {
-				break
-			}
-			if _, err := r.ReadBit(); err != nil { // the "1" marker
-				return err
-			}
-			v, err := r.ReadSigned(ecbMax)
-			if err != nil {
-				return err
-			}
-			dst[i] = v
-			i++
-		}
-	case Tree2:
-		for i := 0; i < len(dst); {
-			if i = readZeros(r, dst, i); i == len(dst) {
-				break
-			}
-			if _, err := r.ReadBit(); err != nil { // the leading "1"
-				return err
-			}
-			b, err := r.ReadBit()
-			if err != nil {
-				return err
-			}
-			if b == 0 {
-				dst[i] = 1
-				i++
-				continue
-			}
-			b, err = r.ReadBit()
-			if err != nil {
-				return err
-			}
-			if b == 0 {
-				dst[i] = -1
-				i++
-				continue
-			}
-			v, err := r.ReadSigned(ecbMax)
-			if err != nil {
-				return err
-			}
-			dst[i] = v
-			i++
-		}
-	case Tree3:
-		return decodeTree3(r, dst, ecbMax)
-	case Tree4:
-		for i := 0; i < len(dst); {
-			// Bin 1 is a lone zero bit, so zero runs batch here too.
-			if i = readZeros(r, dst, i); i == len(dst) {
-				break
-			}
-			v, err := decodeTree4Value(r)
-			if err != nil {
-				return err
-			}
-			dst[i] = v
-			i++
-		}
-	case Tree5:
-		if ecbMax <= 2 {
-			for i := 0; i < len(dst); {
-				if i = readZeros(r, dst, i); i == len(dst) {
-					break
-				}
-				if _, err := r.ReadBit(); err != nil { // the leading "1"
-					return err
-				}
-				b, err := r.ReadBit()
-				if err != nil {
-					return err
-				}
-				if b == 0 {
-					dst[i] = 1
-				} else {
-					dst[i] = -1
-				}
-				i++
-			}
-			return nil
-		}
-		return decodeTree3(r, dst, ecbMax)
-	default:
-		return fmt.Errorf("encoding: unknown method %v", m)
-	}
-	return nil
-}
-
-//pastri:hotpath
-func decodeTree3(r *bitio.Reader, dst []int64, ecbMax uint) error {
-	for i := 0; i < len(dst); {
-		if i = readZeros(r, dst, i); i == len(dst) {
-			break
-		}
-		if _, err := r.ReadBit(); err != nil { // the leading "1"
-			return err
-		}
-		b, err := r.ReadBit()
-		if err != nil {
-			return err
-		}
-		if b == 0 { // "10" + value
-			v, err := r.ReadSigned(ecbMax)
-			if err != nil {
-				return err
-			}
-			dst[i] = v
-			i++
-			continue
-		}
-		b, err = r.ReadBit()
-		if err != nil {
-			return err
-		}
-		if b == 0 {
-			dst[i] = 1
-		} else {
-			dst[i] = -1
-		}
-		i++
-	}
-	return nil
-}
-
-func decodeTree4Value(r *bitio.Reader) (int64, error) {
-	n, err := r.ReadUnary()
-	if err != nil {
-		return 0, err
-	}
-	bin := n + 1
-	switch {
-	case bin == 1:
-		return 0, nil
-	case bin == 2:
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
-			return 1, nil
-		}
-		return -1, nil
-	case bin > 64:
-		return 0, fmt.Errorf("encoding: corrupt Tree4 bin %d", bin)
-	default:
-		payload, err := r.ReadBits(bin - 1)
-		if err != nil {
-			return 0, err
-		}
-		sign := payload & 1
-		lo := int64(1) << (bin - 2)
-		v := lo + int64(payload>>1)
-		if sign == 1 {
-			v = -v
-		}
-		return v, nil
-	}
-}
-
 // CostBits returns the exact number of bits Encode would produce, without
 // encoding. Used for the per-block method selection and for the sparse
 // vs. dense decision.
@@ -504,36 +316,6 @@ func EncodeSparse(w *bitio.Writer, vals []int64, ecbMax, idxBits, countBits uint
 			w.WriteSigned(v, ecbMax)
 		}
 	}
-}
-
-// DecodeSparse reads a sparse representation into dst (which it zeroes
-// first).
-func DecodeSparse(r *bitio.Reader, dst []int64, ecbMax, idxBits, countBits uint) error {
-	for i := range dst {
-		dst[i] = 0
-	}
-	nnz, err := r.ReadBits(countBits)
-	if err != nil {
-		return err
-	}
-	if nnz > uint64(len(dst)) {
-		return fmt.Errorf("encoding: sparse count %d exceeds block size %d", nnz, len(dst))
-	}
-	for k := uint64(0); k < nnz; k++ {
-		idx, err := r.ReadBits(idxBits)
-		if err != nil {
-			return err
-		}
-		if idx >= uint64(len(dst)) {
-			return fmt.Errorf("encoding: sparse index %d out of range %d", idx, len(dst))
-		}
-		v, err := r.ReadSigned(ecbMax)
-		if err != nil {
-			return err
-		}
-		dst[idx] = v
-	}
-	return nil
 }
 
 // IndexBits returns the number of bits needed to address n positions.

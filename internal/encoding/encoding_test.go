@@ -29,7 +29,7 @@ func roundTrip(t *testing.T, vals []int64, m Method) {
 	}
 	r := bitio.NewReader(w.Bytes())
 	dst := make([]int64, len(vals))
-	if err := Decode(r, dst, ecb, m); err != nil {
+	if err := decodeDense(r, dst, ecb, m); err != nil {
 		t.Fatalf("%v: decode: %v", m, err)
 	}
 	for i := range vals {
@@ -126,7 +126,7 @@ func TestQuickRoundTripRandom(t *testing.T) {
 				return false
 			}
 			dst := make([]int64, count)
-			if err := Decode(bitio.NewReader(w.Bytes()), dst, ecb, m); err != nil {
+			if err := decodeDense(bitio.NewReader(w.Bytes()), dst, ecb, m); err != nil {
 				return false
 			}
 			for i := range vals {
@@ -156,8 +156,8 @@ func TestSparseRoundTrip(t *testing.T) {
 		t.Fatalf("sparse cost mismatch: wrote %d, predicted %d", got, want)
 	}
 	dst := make([]int64, len(vals))
-	dst[0] = 999 // must be zeroed by decoder
-	if err := DecodeSparse(bitio.NewReader(w.Bytes()), dst, ecb, idxBits, countBits); err != nil {
+	dst[0] = 999 // positions the list does not name must read back as zero
+	if err := decodeSparseDense(bitio.NewReader(w.Bytes()), dst, ecb, idxBits, countBits); err != nil {
 		t.Fatal(err)
 	}
 	for i := range vals {
@@ -183,7 +183,7 @@ func TestDecodeSparseCorrupt(t *testing.T) {
 	w := bitio.NewWriter(0)
 	w.WriteBits(200, 16) // claims 200 nonzeros in a 10-slot block
 	dst := make([]int64, 10)
-	if err := DecodeSparse(bitio.NewReader(w.Bytes()), dst, 8, 4, 16); err == nil {
+	if err := decodeSparseDense(bitio.NewReader(w.Bytes()), dst, 8, 4, 16); err == nil {
 		t.Fatal("expected error for oversized sparse count")
 	}
 }
